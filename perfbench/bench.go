@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"prefcqa"
@@ -47,7 +48,9 @@ type bench struct {
 	primary, follower *node
 	pdb               *prefcqa.DB
 	preloadVer        uint64
-	mainUnits         int     // write units of the main phase
+	mainUnits         int // write units of the main phase
+	tracedUnits       int // write units sent since the traced half began
+	calib             map[string]float64
 	pending           *traced // the traced phase, for replays
 
 	all    *sampler             // every timed request of the run
@@ -70,37 +73,38 @@ func (b *bench) run() (*result, error) {
 
 	b.w = b.spec.new()
 	b.w.generate(b)
-	if err := b.twin(); err != nil {
-		return nil, fmt.Errorf("twin: %w", err)
-	}
-	var setupS, loadS, buildS []float64
+	var setupS, loadS, buildS, heapMB []float64
 	for i := 0; i < b.setups(); i++ {
 		if i > 0 {
 			if err := b.teardown(); err != nil {
 				return nil, err
 			}
 		}
-		t0 := time.Now()
-		load, build, err := b.setup(i)
+		b.calibrate(fmt.Sprintf("setup%d", i))
+		st, err := b.setup(i)
 		if err != nil {
 			return nil, fmt.Errorf("set-up: %w", err)
 		}
-		setupS = append(setupS, time.Since(t0).Seconds())
-		loadS = append(loadS, load)
-		buildS = append(buildS, build)
+		setupS = append(setupS, st.total)
+		loadS = append(loadS, st.load)
+		buildS = append(buildS, st.build)
+		heapMB = append(heapMB, st.heapMB)
 	}
 	b.values["setup_s"] = median(setupS)
 	b.values["relation.load_s"] = median(loadS)
 	b.values["conflict.build_s"] = median(buildS)
+	b.values["heap_mb"] = median(heapMB)
 	b.series["setup_s"] = setupS
 	if st, err := b.primaryStats(); err == nil {
 		b.info["wal_after_setup"] = st.WAL
 	}
 
+	b.calibrate("main")
 	if err := b.mainPhase(mainDur); err != nil {
 		return nil, err
 	}
 	if !b.spec.followerAtSetup {
+		b.calibrate("probe")
 		if err := b.probePhase(probeDur); err != nil {
 			return nil, err
 		}
@@ -118,6 +122,7 @@ func (b *bench) run() (*result, error) {
 			return nil, err
 		}
 	} else {
+		b.calibrate("read_capacity")
 		b.readCapacity(readDur)
 		// Recovery reopens what the fixed-length phases left behind;
 		// the write-capacity phase, whose write count varies with
@@ -125,97 +130,99 @@ func (b *bench) run() (*result, error) {
 		if err := b.teardown(); err != nil {
 			return nil, err
 		}
+		b.calibrate("recovery")
 		if err := b.recovery(); err != nil {
 			return nil, err
 		}
+		b.calibrate("write_capacity")
 		if err := b.writeCapacity(writeDur); err != nil {
 			return nil, err
 		}
 	}
+	b.calibFigures()
 	b.values["error_rate"] = ratio(float64(b.all.failed), float64(b.all.attempted))
 	return b.collect()
 }
 
-// twin loads the workload's data into an in-memory server in this
-// process, through the same HTTP handlers, and computes every expected
-// answer through the facade on its snapshot. It also records the
-// data's shape and the live heap the loaded server holds (heap_mb).
-func (b *bench) twin() error {
-	ctx, cancel := shortCtx()
-	defer cancel()
-	heap := func() float64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapAlloc)
-	}
-	h0 := heap()
-	srv := server.New(server.Options{})
-	db, err := srv.CreateDB(dbName)
-	if err != nil {
-		return err
-	}
-	if _, err := b.w.load(ctx, memClient(srv.Handler())); err != nil {
-		return err
-	}
-	snap, err := db.Snapshot()
-	if err != nil {
-		return err
-	}
-	if err := b.w.warm(ctx, snap); err != nil {
-		return err
-	}
-	if err := b.workloadProps(snap); err != nil {
-		return err
-	}
-	b.values["heap_mb"] = (heap() - h0) / 1e6
-	return srv.Shutdown(ctx)
+// liveHeap returns the bytes of live heap after two collections.
+func liveHeap() float64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc)
+}
+
+// setupTimes are one set-up's figures.
+type setupTimes struct {
+	total, load, build float64 // seconds
+	heapMB             float64
 }
 
 // setup boots the primary, loads the data over HTTP, makes it build
 // its conflict structures, attaches the follower when the workload
 // has one from the start, and warms the server up with checked reads.
-// It returns the load and first-build times in seconds.
-func (b *bench) setup(i int) (loadS, buildS float64, err error) {
+// heapMB is the live heap this adds: the servers holding the data,
+// measured before any read. The first set-up also computes the
+// expected answers through the facade on a snapshot of the primary;
+// that work is not part of the set-up time.
+func (b *bench) setup(i int) (st setupTimes, err error) {
 	ctx, cancel := shortCtx()
 	defer cancel()
 	dir := b.runDir(fmt.Sprintf("set%d", i))
+	b.pdb = nil // so that the baseline does not hold the last set-up's database
+	h0 := liveHeap()
+	t0 := time.Now()
 	if b.primary, err = startNode(filepath.Join(dir, "primary"), ""); err != nil {
-		return 0, 0, err
+		return st, err
 	}
 	// Created in-process, as cmd/prefserve does for -data, to keep the
 	// primary's DB handle for the traced layer calls.
 	if b.pdb, err = b.primary.srv.CreateDB(dbName); err != nil {
-		return 0, 0, err
+		return st, err
 	}
-	c := client.New(b.primary.url)
+	lc := newConn(b.primary.url, "")
 	t := time.Now()
-	if b.preloadVer, err = b.w.load(ctx, c); err != nil {
-		return 0, 0, fmt.Errorf("load: %w", err)
+	b.preloadVer, err = b.w.load(ctx, lc.primary)
+	lc.close()
+	if err != nil {
+		return st, fmt.Errorf("load: %w", err)
 	}
-	loadS = time.Since(t).Seconds()
+	st.load = time.Since(t).Seconds()
 	// The first build: the facade's first Snapshot.
 	t = time.Now()
-	if _, err = b.pdb.Snapshot(); err != nil {
-		return 0, 0, fmt.Errorf("first build: %w", err)
+	snap, err := b.pdb.Snapshot()
+	if err != nil {
+		return st, fmt.Errorf("first build: %w", err)
 	}
-	buildS = time.Since(t).Seconds()
+	st.build = time.Since(t).Seconds()
 	if b.spec.followerAtSetup {
 		if err := b.attachFollower(dir); err != nil {
-			return 0, 0, err
+			return st, err
+		}
+	}
+	booted := time.Since(t0)
+	st.heapMB = (liveHeap() - h0) / 1e6
+	if i == 0 {
+		if err := b.w.warm(ctx, snap); err != nil {
+			return st, fmt.Errorf("expected answers: %w", err)
+		}
+		if err := b.workloadProps(snap); err != nil {
+			return st, err
 		}
 	}
 	// Warm-up traffic: every read checked, none timed.
+	t = time.Now()
 	cn := b.newConn()
 	defer cn.close()
 	g := b.newGen(100 + i)
 	for j := 0; j < 50; j++ {
 		if err := b.checkedRead(ctx, b.w.read(b, g), cn); err != nil {
-			return 0, 0, fmt.Errorf("warm-up: %w", err)
+			return st, fmt.Errorf("warm-up: %w", err)
 		}
 	}
-	return loadS, buildS, nil
+	st.total = (booted + time.Since(t)).Seconds()
+	return st, nil
 }
 
 // checkedRead sends one read and checks its answer.
@@ -235,7 +242,9 @@ func (b *bench) checkedRead(ctx context.Context, r *readReq, cn *conn) error {
 func (b *bench) primaryStats() (client.DBStats, error) {
 	ctx, cancel := shortCtx()
 	defer cancel()
-	st, err := client.New(b.primary.url).Stats(ctx)
+	cn := newConn(b.primary.url, "")
+	defer cn.close()
+	st, err := cn.primary.Stats(ctx)
 	if err != nil {
 		return client.DBStats{}, err
 	}
@@ -277,8 +286,9 @@ func (b *bench) attachFollower(dir string) error {
 	b.follower = f
 	ctx, cancel := shortCtx()
 	defer cancel()
-	fc := client.New(f.url)
-	if _, err := fc.CountRepairs(ctx, dbName, prefcqa.Global, "Dept", client.MinVersion(st.WriteVersion)); err != nil {
+	fc := newConn(f.url, "")
+	defer fc.close()
+	if _, err := fc.primary.CountRepairs(ctx, dbName, prefcqa.Global, "Dept", client.MinVersion(st.WriteVersion)); err != nil {
 		return fmt.Errorf("follower never converged: %w", err)
 	}
 	b.series["replication.bootstrap_s"] = append(b.series["replication.bootstrap_s"], time.Since(t).Seconds())
@@ -431,7 +441,7 @@ func tail(s *sampler, name string, start time.Time, d time.Duration) float64 {
 }
 
 func (b *bench) mainFigures(s *sampler, start time.Time, d time.Duration) {
-	for _, name := range []string{"read_us", "open_us", "write_us", "lag_us", "gen.late_us"} {
+	for _, name := range []string{"read_us", "open_us", "lag_us", "gen.late_us"} {
 		b.series[name] = s.series[name]
 	}
 	tails := map[string]map[string]float64{}
@@ -449,11 +459,18 @@ func (b *bench) mainFigures(s *sampler, start time.Time, d time.Duration) {
 	b.values["read_p50_us"] = median(s.series["read_us"])
 	b.values["read_p99_us"] = tail(s, "read_us", start, d)
 	b.values["open_p50_us"] = median(s.series["open_us"])
-	b.values["write_p50_us"] = median(s.series["write_us"])
-	b.values["write_p99_us"] = tail(s, "write_us", start, d)
+	if b.spec.writeRate > 0 {
+		b.writeFigures(s, start, d)
+	}
 	if b.spec.followerAtSetup {
 		b.lagFigures(s)
 	}
+}
+
+func (b *bench) writeFigures(s *sampler, start time.Time, d time.Duration) {
+	b.series["write_us"] = s.series["write_us"]
+	b.values["write_p50_us"] = median(s.series["write_us"])
+	b.values["write_p99_us"] = tail(s, "write_us", start, d)
 }
 
 func (b *bench) lagFigures(s *sampler) {
@@ -499,10 +516,14 @@ func (b *bench) openLoopPhase(d time.Duration, tr *traced) (*sampler, phaseStats
 	start := time.Now().Add(20 * time.Millisecond)
 	st.start = start
 	var wg sync.WaitGroup
-	wg.Add(2)
 	var rerr, werr error
 	seen := map[string]bool{}
 	repeats := 0
+	scrapeEvery := 0
+	if b.spec.scrapeRate > 0 {
+		scrapeEvery = int(b.spec.readRate / b.spec.scrapeRate)
+	}
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		cn := b.newConn()
@@ -516,13 +537,13 @@ func (b *bench) openLoopPhase(d time.Duration, tr *traced) (*sampler, phaseStats
 			// A scrape takes two slots, so it rarely delays the read
 			// after it.
 			switch {
-			case b.spec.scrapeEvery == 0:
-			case i%b.spec.scrapeEvery == b.spec.scrapeEvery-2:
+			case scrapeEvery == 0:
+			case i%scrapeEvery == scrapeEvery-2:
 				_, err := cn.primary.Stats(ctx)
 				rs.outcome(err)
 				rs.add("scrape_us", us(time.Since(due)))
 				return
-			case i%b.spec.scrapeEvery == b.spec.scrapeEvery-1:
+			case i%scrapeEvery == scrapeEvery-1:
 				return
 			}
 			r := b.w.read(b, g)
@@ -556,24 +577,30 @@ func (b *bench) openLoopPhase(d time.Duration, tr *traced) (*sampler, phaseStats
 			}
 		})
 	}()
-	go func() {
-		defer wg.Done()
-		cn := b.newConn()
-		defer cn.close()
-		n := int(b.spec.writeRate * d.Seconds())
-		werr = openLoop(start, n, b.spec.writeRate, ws, func(i int, due time.Time) {
-			acked, v, probe, err := b.w.write(ctx, b, httpWriter{cn.primary}, due, ws)
-			ws.attempted += acked
-			if err != nil {
-				ws.outcome(err)
-				return
-			}
-			st.writes += acked
-			if b.spec.followerAtSetup {
-				b.lagProbe(ctx, cn, v, probe, ws, traced)
-			}
-		})
-	}()
+	if b.spec.writeRate > 0 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cn := b.newConn()
+			defer cn.close()
+			n := int(b.spec.writeRate * d.Seconds())
+			werr = openLoop(start, n, b.spec.writeRate, ws, func(i int, due time.Time) {
+				acked, v, probe, err := b.w.write(ctx, b, httpWriter{cn.primary}, due, ws)
+				ws.attempted += acked
+				if err != nil {
+					ws.outcome(err)
+					return
+				}
+				st.writes += acked
+				if traced {
+					b.tracedUnits++
+				}
+				if b.spec.followerAtSetup {
+					b.lagProbe(ctx, cn, time.Now(), v, probe, ws, traced)
+				}
+			})
+		}()
+	}
 	wg.Wait()
 	if rerr != nil {
 		return nil, st, rerr
@@ -590,13 +617,12 @@ func (b *bench) openLoopPhase(d time.Duration, tr *traced) (*sampler, phaseStats
 	return rs, st, nil
 }
 
-// lagProbe reads a just-acked write back through the follower with
+// lagProbe reads a write acked at ack back through the follower with
 // min_version and records the time from the ack until the read
 // returns. Traced, it also polls the follower's write-version to split
 // that time into shipping (ack until the follower's log covers the
 // write) and wake-up (covered until the parked read returns).
-func (b *bench) lagProbe(ctx context.Context, cn *conn, v uint64, probe *readReq, s *sampler, traced bool) {
-	ack := time.Now()
+func (b *bench) lagProbe(ctx context.Context, cn *conn, ack time.Time, v uint64, probe *readReq, s *sampler, traced bool) {
 	var covered time.Time
 	stop := make(chan struct{})
 	var poll sync.WaitGroup
@@ -635,32 +661,65 @@ func (b *bench) lagProbe(ctx context.Context, cn *conn, v uint64, probe *readReq
 	}
 }
 
-// probePhase attaches a follower to a workload that has none, runs
-// the writer alone at the probe rate with a lag probe after every
-// write unit, and detaches the follower again.
+// probePhase attaches a follower to a workload that has none and
+// runs the writer alone at the probe-phase rate. The reader
+// connection, idle otherwise, reads writes back through the follower:
+// a lag probe follows each write acked while no probe is in flight, so
+// the writer keeps its schedule however long a probe takes. The
+// follower is detached at the end. On a workload whose main phase is
+// read-only, these writes also give the write figures.
 func (b *bench) probePhase(d time.Duration) error {
 	if err := b.attachFollower(b.runDir("probe")); err != nil {
 		return err
 	}
 	ctx := context.Background()
-	s := newSampler()
-	cn := b.newConn()
+	ws, ps := newSampler(), newSampler()
+	wcn, pcn := b.newConn(), b.newConn()
+	type probeReq struct {
+		ack   time.Time
+		v     uint64
+		probe *readReq
+	}
+	probes := make(chan probeReq, 1)
+	var busy atomic.Bool
+	var pwg sync.WaitGroup
+	pwg.Add(1)
+	go func() {
+		defer pwg.Done()
+		for p := range probes {
+			b.lagProbe(ctx, pcn, p.ack, p.v, p.probe, ps, b.cfg.trace)
+			busy.Store(false)
+		}
+	}()
 	n := int(b.spec.probeRate * d.Seconds())
-	err := openLoop(time.Now().Add(20*time.Millisecond), n, b.spec.probeRate, s, func(i int, due time.Time) {
-		acked, v, probe, err := b.w.write(ctx, b, httpWriter{cn.primary}, due, newSampler())
-		s.attempted += acked
+	start := time.Now().Add(20 * time.Millisecond)
+	err := openLoop(start, n, b.spec.probeRate, ws, func(i int, due time.Time) {
+		acked, v, probe, err := b.w.write(ctx, b, httpWriter{wcn.primary}, due, ws)
+		ws.attempted += acked
 		if err != nil {
-			s.outcome(err)
+			ws.outcome(err)
 			return
 		}
-		b.lagProbe(ctx, cn, v, probe, s, b.cfg.trace)
+		if b.cfg.trace {
+			b.tracedUnits++
+		}
+		if busy.CompareAndSwap(false, true) {
+			probes <- probeReq{ack: time.Now(), v: v, probe: probe}
+		}
 	})
-	cn.close()
+	close(probes)
+	pwg.Wait()
+	wcn.close()
+	pcn.close()
 	if err != nil {
 		return err
 	}
-	b.all.merge(s)
-	b.lagFigures(s)
+	ws.merge(ps)
+	b.all.merge(ws)
+	b.lagFigures(ws)
+	if b.spec.writeRate == 0 {
+		b.writeFigures(ws, start, d)
+	}
 	return b.detachFollower()
 }
 
@@ -796,11 +855,10 @@ func (b *bench) layerReplays() error {
 		}
 		b.series["client.transport_us"] = append(b.series["client.transport_us"], us(x.rtt-handler))
 	}
-	// The traced half's number of write units again, through the
-	// facade on the primary, each followed by the snapshot the next
-	// read would take.
+	// The traced write units again, through the facade on the
+	// primary, each followed by the snapshot the next read would take.
 	fw := facadeWriter{db: b.pdb, tr: b.tr}
-	for i := 0; i < b.mainUnits/2; i++ {
+	for i := 0; i < b.tracedUnits; i++ {
 		if _, _, _, err := b.w.write(ctx, b, fw, time.Now(), newSampler()); err != nil {
 			return fmt.Errorf("facade write: %w", err)
 		}
@@ -826,10 +884,10 @@ func (b *bench) layerReplays() error {
 	return b.walReplays(tr)
 }
 
-// walReplays feeds the traced phase's primary records into a fresh
-// standalone wal.Log under the run's fsync policy, and through
-// ReplApply / ReplCommit on a fresh durable DB bootstrapped at the
-// phase's starting state.
+// walReplays feeds the primary's records since the traced half began
+// into a fresh standalone wal.Log under the run's fsync policy, and
+// through ReplApply / ReplCommit on a fresh durable DB bootstrapped at
+// the half's starting state.
 func (b *bench) walReplays(tr *traced) error {
 	var recs []wal.Record
 	for from := tr.v0 + 1; from <= b.pdb.WriteVersion(); {
@@ -844,7 +902,7 @@ func (b *bench) walReplays(tr *traced) error {
 		from = batch[len(batch)-1].Seq + 1
 	}
 	if len(recs) == 0 {
-		return fmt.Errorf("the traced phase logged no records")
+		return fmt.Errorf("no records were logged since the traced half began")
 	}
 	log, _, _, err := wal.Open(b.runDir("wal-replay"), wal.Options{Policy: fsync})
 	if err != nil {

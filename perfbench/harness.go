@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"sync"
 	"time"
@@ -72,19 +71,6 @@ func (n *node) stop() error {
 		err = serr
 	}
 	return err
-}
-
-// memClient is a client whose requests are served by h in memory.
-func memClient(h http.Handler) *client.Client {
-	return client.New("http://in-memory", client.WithHTTPClient(&http.Client{Transport: handlerTransport{h}}))
-}
-
-type handlerTransport struct{ h http.Handler }
-
-func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	rec := httptest.NewRecorder()
-	t.h.ServeHTTP(rec, req)
-	return rec.Result(), nil
 }
 
 // replicaDB returns a follower's in-process handle on its replica of

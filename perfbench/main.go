@@ -156,6 +156,7 @@ func (b *bench) printSeries() error {
 	for _, name := range pooled {
 		series[name] = b.series[name]
 	}
+	series["calib_us"] = b.series["calib_us"]
 	line, err := json.Marshal(map[string]any{"perfbench_series": series})
 	if err != nil {
 		return err
@@ -185,6 +186,8 @@ func runRounds(cfg config) error {
 	agg := &result{Correct: true, Metrics: map[string]metric{}}
 	per := map[string][]float64{}
 	samples := map[string][]float64{}
+	var calib []float64
+	slow := []int{}
 	for r := 0; r < rounds; r++ {
 		lines, res, err := child(cfg, cfg.workload, "--round", strconv.Itoa(r))
 		if err != nil {
@@ -202,6 +205,13 @@ func runRounds(cfg config) error {
 				fmt.Println(l) // the round's record of what its figures depend on
 			}
 			for name, xs := range sr.Series {
+				if name == "calib_us" {
+					calib = append(calib, median(xs))
+					if median(xs) > calibSlow*calibRefUs {
+						slow = append(slow, r)
+					}
+					continue
+				}
 				samples[name] = append(samples[name], xs...)
 			}
 		}
@@ -227,7 +237,8 @@ func runRounds(cfg config) error {
 	for name, xs := range samples {
 		counts[name] = len(xs)
 	}
-	line, err := json.Marshal(map[string]any{"perfbench_rounds": per, "pooled_samples": counts, "error_rate": ratio(float64(agg.Failed), float64(agg.Attempted))})
+	line, err := json.Marshal(map[string]any{"perfbench_rounds": per, "pooled_samples": counts,
+		"calib_us": calib, "host_slow_rounds": slow, "error_rate": ratio(float64(agg.Failed), float64(agg.Attempted))})
 	if err != nil {
 		return err
 	}
@@ -312,7 +323,7 @@ func (b *bench) printInfo() {
 		"read_open_loop":          b.spec.readRate,
 		"write_open_loop":         b.spec.writeRate,
 		"probe":                   b.spec.probeRate,
-		"stats_scrape":            ratio(b.spec.readRate, float64(b.spec.scrapeEvery)),
+		"stats_scrape":            b.spec.scrapeRate,
 		"closed_loop_connections": closedConns,
 	}
 	samples := map[string]int{}
@@ -358,7 +369,7 @@ var perLayer = [][2]string{
 	{"replication.ship_us", "us"}, {"replication.wake_us", "us"},
 	{"replication.apply_us", "us"}, {"replication.commit_us", "us"}, {"replication.bootstrap_s", "s"},
 	{"relation.load_s", "s"}, {"conflict.build_s", "s"},
-	{"gen.late_p99_us", "us"}, {"trace.overhead_us", "us"},
+	{"gen.late_p99_us", "us"}, {"trace.overhead_us", "us"}, {"host.calib_us", "us"},
 	{"workload.tuples", "count"}, {"workload.conflicts", "count"}, {"workload.components", "count"},
 	{"workload.multi_choice_components", "count"}, {"workload.read_share", "ratio"},
 }
